@@ -21,7 +21,6 @@ from .synthetic import ALL_FAMILIES, generate_dataset
 def _parser():
     p = argparse.ArgumentParser(prog="panelkit", description=__doc__)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sample evaluation")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate synthetic garments")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import tensor as T
-from .nn.layers import MLP, Conv2d, ConvTranspose2d, CrossAttentionBlock, Linear, SelfAttentionBlock, max_pool2x2
-from .nn.tensor import Tensor
+from .nn.layers import MLP, Conv2d, ConvTranspose2d, CrossAttentionBlock, Linear, SelfAttentionBlock
+from .nn.tensor import Tensor, max_pool2x2
 from .pattern.types import Panel, SewingPattern
 
 

@@ -47,6 +47,10 @@ class TooFewPoints(PanelkitError):
     pass
 
 
+class NonFiniteCloud(PanelkitError):
+    pass
+
+
 class UnknownClass(PanelkitError):
     pass
 

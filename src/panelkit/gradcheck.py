@@ -84,6 +84,7 @@ def _checks_primitives(rng):
     img = _rand(rng, 2, 2, 6, 6)
     kern = _rand(rng, 3, 2, 3, 3)
     kern_t = _rand(rng, 2, 3, 4, 4)
+    pool_in = _rand(rng, 2, 3, 4, 6)  # continuous draws: no ties inside a window
     return [
         ("add", lambda: T.sum_((a + b) * (a + b)), [a, b]),
         ("mul", lambda: T.sum_(a * b + a * 2.0), [a, b]),
@@ -103,6 +104,7 @@ def _checks_primitives(rng):
         ("sum", lambda: T.sum_(T.sum_(a, axis=1) * T.sum_(b, axis=1)), [a, b]),
         ("mean", lambda: T.sum_(T.mean(a, axis=0) * T.mean(b, axis=0)), [a, b]),
         ("max", lambda: T.sum_(T.max_(a, axis=1)), [a]),
+        ("max_pool2x2", lambda: T.sum_(T.pow_const(T.max_pool2x2(pool_in), 2.0)), [pool_in]),
         ("softmax", lambda: T.sum_(T.softmax(a, axis=1) * b), [a, b]),
         ("layer_norm", lambda: T.sum_(T.layer_norm(a) * b), [a, b]),
         ("embedding", lambda: T.sum_(T.embedding(a, idx) * 1.5), [a]),

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from . import tensor as T
-from .tensor import Tensor
 
 
 def _init(rng, shape, fan_in):
@@ -129,17 +128,6 @@ class CrossAttentionBlock:
         q = q + self.attn(h, kvn, kvn)
         q = q + self.ff(T.layer_norm(q))
         return q
-
-
-def max_pool2x2(x):
-    """(B, C, H, W) -> (B, C, H/2, W/2) max pooling."""
-    b, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeMismatch("even H and W", (h, w), "max_pool2x2")
-    x = T.reshape(x, (b, c, h // 2, 2, w // 2, 2))
-    x = T.max_(x, axis=5)
-    x = T.max_(x, axis=3)
-    return x
 
 
 class Conv2d:

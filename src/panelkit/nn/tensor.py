@@ -303,6 +303,38 @@ def max_(a, axis):
     return Tensor(out, (a,), vjp)
 
 
+def _windows2x2(x):
+    """The four corners of every 2x2 window of (B, C, H, W): tl, tr, bl, br."""
+    return x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+
+
+def max_pool2x2(a):
+    """(B, C, H, W) -> (B, C, H/2, W/2) max over each 2x2 window.
+
+    The gradient goes to one element per window: the first maximal row
+    (top wins ties), then that row's first maximal column (left wins ties),
+    as ``max_`` over the window's columns and then its rows would route it.
+    """
+    a = _wrap(a)
+    if a.ndim != 4 or a.shape[2] % 2 or a.shape[3] % 2:
+        raise ShapeMismatch("(B, C, even H, even W)", a.shape, "max_pool2x2")
+    tl, tr, bl, br = _windows2x2(a.data)
+    out = np.maximum(np.maximum(tl, tr), np.maximum(bl, br))
+
+    def vjp(g):
+        tl, tr, bl, br = _windows2x2(a.data)
+        top = np.maximum(tl, tr) >= np.maximum(bl, br)
+        left = np.where(top, tl >= tr, bl >= br)
+        ga = np.zeros_like(a.data)
+        for corner, picked in zip(
+            _windows2x2(ga), (top & left, top & ~left, ~top & left, ~top & ~left)
+        ):
+            corner[...] = np.where(picked, g, 0.0)
+        return (ga,)
+
+    return Tensor(out, (a,), vjp)
+
+
 def softmax(a, axis=-1):
     a = _wrap(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)

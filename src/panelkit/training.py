@@ -363,16 +363,7 @@ def evaluate_standard(model, dataset, mode="text", stitch_net=None):
         standard = None
     for sample in dataset:
         instruction = standard or model.prompts.build_standard_instruction(mode)
-        output = model.forward(sample.points, instruction)
-        preds = model.predictions(output)
-        from .decoder import select_panels
-
-        pattern = select_panels(
-            preds,
-            instruction_active=instruction.active,
-            threshold=cfg.confidence_threshold,
-            k=cfg.top_k,
-        )
+        pattern, preds = model.infer(sample.points, instruction)
         if stitch_net is not None:
             stitches = predict_stitches(
                 stitch_net, pattern, candidates=cfg.stitch_candidates
@@ -389,7 +380,7 @@ def evaluate_standard(model, dataset, mode="text", stitch_net=None):
                 panel, (cfg.mask_size, cfg.mask_size), cfg.mask_scale
             )
             mask_ious.append(
-                panel_iou(output.mask_probs.data[panel.class_id] > 0.5, gt_mask)
+                panel_iou(preds[panel.class_id].mask_probs > 0.5, gt_mask)
             )
     report = average_report(reports)
     extras = {"mask_iou": float(np.mean(mask_ious))}

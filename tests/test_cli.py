@@ -95,6 +95,20 @@ def test_infer_missing_cloud_fails(workdir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_infer_non_finite_cloud_fails(workdir, tmp_path, capsys, bad):
+    lines = pathlib.Path(workdir["cloud"]).read_text().splitlines()
+    lines[3] = f"{bad} 0.0 1.0"
+    cloud = tmp_path / "bad.csv"
+    cloud.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.json"
+    assert run(["infer", "--cloud", str(cloud),
+                "--checkpoint", str(workdir["checkpoint"]),
+                "--out-pattern", str(out)]) == 1
+    assert "error: point cloud has NaN or infinite coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_personalize_restricts_classes(workdir, tmp_path):
     out = tmp_path / "pers.json"
     assert run(["personalize", "--cloud", str(workdir["cloud"]),
@@ -176,6 +190,12 @@ def test_render_malformed_pattern_fails(tmp_path, capsys):
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["infer", "--bogus"])
+    assert exc.value.code == 2
+
+
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run(["--jobs", "2", "gradcheck"])
     assert exc.value.code == 2
 
 

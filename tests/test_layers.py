@@ -13,13 +13,12 @@ from panelkit.nn.layers import (
     MLP,
     MultiHeadAttention,
     SelfAttentionBlock,
-    max_pool2x2,
     scaled_dot_attention,
 )
 from panelkit.nn.optim import ParameterStore
-from panelkit.nn.tensor import Tensor, backward
+from panelkit.nn.tensor import Tensor, backward, max_pool2x2
 
-from conftest import assert_grad_close, fd_grad
+from conftest import assert_grad_close, fd_grad, reference_max_pool2x2
 
 RNG = np.random.default_rng(77)
 
@@ -162,6 +161,37 @@ def test_max_pool2x2_matches_loops():
 def test_max_pool2x2_odd_raises():
     with pytest.raises(ShapeMismatch):
         max_pool2x2(Tensor(np.ones((1, 1, 3, 4))))
+
+
+def _tied_pool_input(rng):
+    """ReLU output with many exact zeros (of both signs) and equal positive pairs."""
+    x = np.round(rng.normal(size=(3, 4, 6, 8)), 1)
+    x[0, 0, 0:2, 0:2] = 0.7                      # a whole window tied
+    x[0, 1, 0, 0:2] = x[0, 1, 1, 0:2] = 0.3      # tied rows and columns
+    x[1, 0, 0:2, 2:4] = [[0.0, -0.0], [-0.0, 0.0]]
+    return T.relu(Tensor(x)).data
+
+
+def test_max_pool2x2_bitwise_equals_reference_with_ties():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = _tied_pool_input(rng)
+        g = rng.normal(size=(3, 4, 3, 4))
+        got = []
+        for pool in (reference_max_pool2x2, max_pool2x2):
+            leaf = Tensor(x.copy())
+            y = pool(leaf)
+            backward(T.sum_(y * Tensor(g)))
+            got.append((y.data.tobytes(), leaf.grad.tobytes()))
+        assert got[0] == got[1]
+
+
+def test_max_pool2x2_routes_ties_top_then_left():
+    x = np.zeros((1, 1, 2, 2))
+    x[0, 0] = [[1.0, 2.0], [2.0, 2.0]]
+    leaf = Tensor(x)
+    backward(T.sum_(max_pool2x2(leaf)))
+    np.testing.assert_array_equal(leaf.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_conv2d_layer_adds_bias_per_channel():

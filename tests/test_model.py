@@ -1,12 +1,19 @@
 """End-to-end model forward/inference contracts and checkpointing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from panelkit import model as model_module
 from panelkit.config import Config
-from panelkit.errors import CheckpointMismatch
+from panelkit.decoder import select_panels
+from panelkit.errors import CheckpointMismatch, NonFiniteCloud
 from panelkit.model import PatternModel
 from panelkit.nn.checkpoint import load_arrays, save_arrays
+from panelkit.nn.optim import adam_step
+
+from conftest import full_smooth_predictions
 
 RNG = np.random.default_rng(41)
 
@@ -121,3 +128,138 @@ def test_seeded_construction_is_reproducible(cloud):
     b = PatternModel(_tiny(), seed=11)
     for name in a.store.names():
         np.testing.assert_array_equal(a.store[name].data, b.store[name].data)
+
+
+# -- non-finite clouds --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["infer", "forward"])
+def test_non_finite_cloud_raises(model, cloud, bad, entry):
+    points = cloud.copy()
+    points[17, 1] = bad
+    ins = model.prompts.encode_text([0, 2])
+    with pytest.raises(NonFiniteCloud):
+        getattr(model, entry)(points, ins)
+
+
+def test_non_finite_cloud_is_never_reused(cloud, monkeypatch):
+    model = PatternModel(_tiny(), seed=4)
+    ins = model.prompts.encode_text([0, 2])
+    calls = _count_fps(monkeypatch)
+    model.infer(cloud, ins)
+    points = cloud.copy()
+    points[0, 0] = np.nan
+    with pytest.raises(NonFiniteCloud):
+        model.infer(points, ins)
+    model.infer(cloud.copy(), ins)
+    assert calls == [1]
+
+
+# -- gated smooth head --------------------------------------------------------
+
+
+def test_gated_smooth_head_keeps_the_full_heads_panels(cloud):
+    model = PatternModel(Config(), seed=3)
+    # untrained, the head marks 2 edges valid per slot; lift the validity
+    # logits so that slots pass select_panels' 3-edge rule
+    e = model.config.e_max
+    model.store["head/smooth/mlp/l1/b"].data[4 * e :] += 1.0
+    ins = model.prompts.encode_text(list(range(0, 23, 2)))
+    out = model.forward(cloud, ins)
+    # a threshold inside the active slots' confidences gates some of them out
+    model.config.confidence_threshold = float(np.median(out.confidence.data[ins.active]))
+    cfg = model.config
+    full = full_smooth_predictions(model, out)
+    expect = select_panels(full, ins.active, cfg.confidence_threshold, cfg.top_k)
+    assert len(expect.panels) >= 2
+
+    pattern, preds = model.infer(cloud, ins)
+    assert [p.class_id for p in pattern.panels] == [p.class_id for p in expect.panels]
+    for got, ref in zip(pattern.panels, expect.panels):
+        np.testing.assert_allclose(got.vertex_array(), ref.vertex_array(), rtol=0, atol=1e-12)
+    gated = ins.active & (out.confidence.data > cfg.confidence_threshold)
+    assert 0 < gated.sum() < ins.active.sum()
+    for p, ref in zip(preds, full):
+        assert p.vertices.shape == ref.vertices.shape
+        assert p.edge_validity.shape == ref.edge_validity.shape
+        if gated[p.slot]:
+            np.testing.assert_allclose(p.vertices, ref.vertices, rtol=0, atol=1e-12)
+        else:
+            assert not p.vertices.any() and not p.curvatures.any()
+            assert not p.edge_validity.any()
+
+
+# -- reused encoding ------------------------------------------------------------
+
+
+def _count_fps(monkeypatch):
+    calls = [0]
+    fps = model_module.farthest_point_sample
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fps(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "farthest_point_sample", counted)
+    return calls
+
+
+def _outputs(pattern, preds):
+    """Returned panels and every per-slot array, as exact values."""
+    return (
+        pattern.panels,
+        [
+            np.concatenate(
+                [np.ravel(a) for a in (p.mask_probs, p.rotation, p.translation,
+                                       p.vertices, p.curvatures, p.edge_validity)]
+                + [np.array([p.confidence])]
+            ).tobytes()
+            for p in preds
+        ],
+    )
+
+
+def test_copied_cloud_reuses_encoding(cloud, monkeypatch):
+    model = PatternModel(_tiny(), seed=4)
+    calls = _count_fps(monkeypatch)
+    model.infer(cloud, model.prompts.encode_text([0, 1]))
+    ins = model.prompts.encode_text([2, 3])
+    reused = model.infer(cloud.copy(), ins)
+    assert calls == [1]
+    fresh = PatternModel(_tiny(), seed=4).infer(cloud.copy(), ins)
+    assert calls == [2]
+    assert _outputs(*reused) == _outputs(*fresh)
+
+
+def _edit_encoder_param(model, cloud):
+    model.store["local/pointnet/l0/w"].data[0, 0] += 1e-3
+    return cloud
+
+
+def _adam(model, cloud):
+    grads = {name: np.ones_like(t.data) for name, t in model.store.params.items()}
+    adam_step(model.store, 1e-3, grads=grads)
+    return cloud
+
+
+def _translate(model, cloud):
+    return cloud + np.array([3.0, -2.0, 0.5])
+
+
+def _new_config(model, cloud):
+    model.config = replace(model.config, top_k=model.config.top_k - 1)
+    return cloud
+
+
+@pytest.mark.parametrize("change", [_edit_encoder_param, _adam, _translate, _new_config])
+def test_changed_input_recomputes_encoding(cloud, monkeypatch, change):
+    model = PatternModel(_tiny(), seed=4)
+    ins = model.prompts.encode_text([0, 2])
+    calls = _count_fps(monkeypatch)
+    model.infer(cloud, ins)
+    points = change(model, cloud.copy())
+    pattern, preds = model.infer(points, ins)
+    assert calls == [2]
+    expect = model.predictions(model.forward(points, ins))
+    assert _outputs(pattern, preds)[1] == _outputs(pattern, expect)[1]

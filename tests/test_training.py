@@ -10,7 +10,9 @@ from panelkit.errors import EmptyInput
 from panelkit.model import PatternModel
 from panelkit.nn import tensor as T
 from panelkit.nn.tensor import Tensor
-from panelkit.pattern.raster import rasterize_panel
+from panelkit.decoder import select_panels
+from panelkit.pattern.metrics import average_report, pattern_metrics
+from panelkit.pattern.raster import panel_iou, rasterize_panel
 from panelkit.pattern.types import Panel
 from panelkit.synthetic import generate_dataset, generate_sample
 from panelkit.training import (
@@ -247,6 +249,20 @@ def test_train_reduces_loss_and_is_deterministic(dataset):
     assert totals[-1] < totals[0]
 
 
+def test_train_matches_reference_max_pool_bitwise(dataset, monkeypatch):
+    from panelkit import decoder
+
+    from conftest import reference_max_pool2x2
+
+    cfg = _tiny()
+    cfg.epochs = 1
+    fast, _ = train(dataset, cfg, model=PatternModel(cfg, seed=9))
+    monkeypatch.setattr(decoder, "max_pool2x2", reference_max_pool2x2)
+    ref, _ = train(dataset, cfg, model=PatternModel(cfg, seed=9))
+    for name in fast.store.names():
+        assert fast.store[name].data.tobytes() == ref.store[name].data.tobytes(), name
+
+
 def test_train_builds_sketch_prototypes(dataset):
     cfg = _tiny()
     cfg.epochs = 1
@@ -319,6 +335,36 @@ def test_evaluate_standard_returns_report_and_mask_iou(dataset):
     for key in ("panel_l2", "num_panels_acc", "num_edges_acc", "panel_iou"):
         assert key in d
     assert 0.0 <= extras["mask_iou"] <= 1.0
+
+
+def test_evaluate_standard_report_matches_the_ungated_chain(dataset):
+    from conftest import full_smooth_predictions
+
+    cfg = _tiny()
+    cfg.epochs = 1
+    model, _ = train(dataset, cfg, model=PatternModel(cfg, seed=9))
+    # this short a training keeps no panel; lower the gate and lift the edge
+    # validity logits so that the report covers kept panels
+    standard = model.prompts.build_standard_instruction("text")
+    cfg.confidence_threshold = float(np.median(model.forward(dataset[0].points, standard).confidence.data))
+    model.store["head/smooth/mlp/l1/b"].data[4 * cfg.e_max :] += 1.0
+    reports, ious = [], []
+    for sample in dataset:
+        ins = model.prompts.build_standard_instruction("text")
+        out = model.forward(sample.points, ins)
+        preds = full_smooth_predictions(model, out)
+        pattern = select_panels(preds, ins.active, cfg.confidence_threshold, cfg.top_k)
+        reports.append(pattern_metrics(pattern, sample.pattern))
+        size = (cfg.mask_size, cfg.mask_size)
+        ious.extend(
+            panel_iou(out.mask_probs.data[p.class_id] > 0.5, rasterize_panel(p, size, cfg.mask_scale))
+            for p in sample.pattern.panels
+        )
+    report, extras = evaluate_standard(model, dataset, mode="text")
+    expect = average_report(reports).as_dict()
+    assert expect["rot_l2"] > 0  # kept panels matched ground-truth classes
+    assert report.as_dict() == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert extras["mask_iou"] == float(np.mean(ious))
 
 
 def test_evaluate_standard_sketch_with_partial_prototypes(dataset):
